@@ -16,10 +16,10 @@ stubbed baseline (best-of-``ROUNDS``, rounds interleaved so drift hits
 both sides equally).  A microbenchmark of the bare no-op ``span()``
 call is recorded alongside for context.
 
-Runnable two ways::
+Prints the measurement as JSON on stdout and exits non-zero over
+budget::
 
-    PYTHONPATH=src python benchmarks/bench_obs_overhead.py  # writes BENCH_obs.json
-    PYTHONPATH=src python -m pytest benchmarks/bench_obs_overhead.py --benchmark-only
+    PYTHONPATH=src python benchmarks/bench_obs_overhead.py > bench-obs.json
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import importlib
 import json
-from pathlib import Path
 
 from repro.dspn import solve_steady_state
 from repro.engine import cache_override
@@ -35,8 +34,6 @@ from repro.obs import NULL_SPAN, collect_manifest, now, span
 from repro.perception.no_rejuvenation import build_no_rejuvenation_net
 from repro.perception.parameters import PerceptionParameters
 from repro.perception.rejuvenation import build_rejuvenation_net
-
-RESULT_FILE = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
 #: Repetitions per mode; best (minimum) time per mode is compared.
 ROUNDS = 5
@@ -176,20 +173,8 @@ def measure() -> dict:
     }
 
 
-def bench_obs_overhead(benchmark):
-    results = benchmark.pedantic(measure, rounds=1, iterations=1)
-    RESULT_FILE.write_text(json.dumps(results, indent=2) + "\n")
-    print()
-    print(json.dumps(results, indent=2))
-    assert results["overhead_pct"] <= results["budget_pct"], (
-        f"disabled-tracing overhead {results['overhead_pct']:.2f}% exceeds "
-        f"the {results['budget_pct']:.1f}% budget"
-    )
-
-
 def main() -> None:
     results = measure()
-    RESULT_FILE.write_text(json.dumps(results, indent=2) + "\n")
     print(json.dumps(results, indent=2))
     if results["overhead_pct"] > results["budget_pct"]:
         raise SystemExit(

@@ -5,34 +5,31 @@ runtime records per-round int64 totals (``record_round_totals=True``)
 and the finished report is folded through the drift detector window by
 window.  Both are O(rounds) against the runtime's O(groups x rounds)
 vectorized work, so the contract is that watching the full 1M-request
-``sim-batch-1m`` workload costs **under ``BUDGET_PCT`` percent** of
-wall time — alerting that taxed the firehose would simply be left off.
+firehose (:func:`~repro.simulation.batch.runtime.sim_batch_config`)
+costs **under ``BUDGET_PCT`` percent** of wall time — alerting that
+taxed the firehose would simply be left off.
 
-This benchmark times the exact ``watch-firehose-1m`` suite workload
-against the plain ``sim-batch-1m`` baseline (best-of-``ROUNDS``,
-rounds interleaved so machine drift hits both sides equally) and fails
-when the overhead exceeds the budget.
+This script times the watched firehose against the plain run
+(best-of-``ROUNDS``, rounds interleaved so machine drift hits both
+sides equally) and fails when the overhead exceeds the budget.
 
-Runnable two ways::
+Prints the measurement as JSON on stdout and exits non-zero over
+budget::
 
-    PYTHONPATH=src python benchmarks/bench_watch_overhead.py  # writes BENCH_watch.json
-    PYTHONPATH=src python -m pytest benchmarks/bench_watch_overhead.py --benchmark-only
+    PYTHONPATH=src python benchmarks/bench_watch_overhead.py > bench-watch.json
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from pathlib import Path
 
 from repro.obs import collect_manifest, now
 from repro.obs.metrics import registry_override
-from repro.obs.regress import sim_batch_config
 from repro.obs.watch import batch_watch_config, watch_batch_report
 from repro.perception.evaluation import evaluate
 from repro.simulation import simulate_batch
-
-RESULT_FILE = Path(__file__).resolve().parent.parent / "BENCH_watch.json"
+from repro.simulation.batch.runtime import sim_batch_config
 
 #: Repetitions per mode; best (minimum) time per mode is compared.
 ROUNDS = 3
@@ -43,13 +40,13 @@ BUDGET_PCT = 5.0
 
 
 def _baseline() -> None:
-    """The plain ``sim-batch-1m`` workload: no totals, no detectors."""
+    """The plain firehose: no totals, no detectors."""
     with registry_override():
         simulate_batch(sim_batch_config())
 
 
 def _watched(target: float) -> None:
-    """The ``watch-firehose-1m`` workload: totals + drift fold."""
+    """The watched firehose: totals + drift fold."""
     config = dataclasses.replace(
         sim_batch_config(), record_round_totals=True
     )
@@ -60,7 +57,7 @@ def _watched(target: float) -> None:
     )
     if watcher.log.events:
         raise RuntimeError(
-            "clean sim-batch-1m stream raised alerts; the timing would "
+            "clean firehose stream raised alerts; the timing would "
             "be measuring a broken detector"
         )
 
@@ -101,20 +98,8 @@ def measure() -> dict:
     }
 
 
-def bench_watch_overhead(benchmark):
-    results = benchmark.pedantic(measure, rounds=1, iterations=1)
-    RESULT_FILE.write_text(json.dumps(results, indent=2) + "\n")
-    print()
-    print(json.dumps(results, indent=2))
-    assert results["overhead_pct"] <= results["budget_pct"], (
-        f"watch overhead {results['overhead_pct']:.2f}% exceeds the "
-        f"{results['budget_pct']:.1f}% budget"
-    )
-
-
 def main() -> None:
     results = measure()
-    RESULT_FILE.write_text(json.dumps(results, indent=2) + "\n")
     print(json.dumps(results, indent=2))
     if results["overhead_pct"] > results["budget_pct"]:
         raise SystemExit(

@@ -11,7 +11,6 @@ Usage (also available as ``python -m repro``)::
     repro experiments --list
     repro trace table2-defaults --jobs 4       # profile a run (flamegraph)
     repro trace table2-defaults --export chrome --out trace.json  # Perfetto
-    repro bench --gate                         # benchmark regression gate
     repro verify --all                         # lint + certify every net
     repro simulate --six --horizon 100000      # Monte-Carlo cross-check
     repro monitor --six --attack               # rejuvenation-policy shootout
@@ -329,58 +328,6 @@ def _command_trace(args: argparse.Namespace) -> int:
         Path(args.out).write_text(output + "\n")
     else:
         print(output)
-    return 0
-
-
-def _command_bench(args: argparse.Namespace) -> int:
-    from repro.obs.regress import (
-        BENCH_SUITE,
-        append_history,
-        find_regressions,
-        latest_baselines,
-        load_history,
-        parse_slowdowns,
-        run_benchmarks,
-    )
-
-    if args.list:
-        for bench in BENCH_SUITE:
-            print(bench)
-        return 0
-    results = run_benchmarks(
-        args.ids or None,
-        rounds=args.rounds,
-        slowdowns=parse_slowdowns(args.slowdown),
-    )
-    baselines = latest_baselines(load_history(args.history))
-    for result in results:
-        baseline = baselines.get(result.bench)
-        versus = ""
-        if baseline is not None and float(baseline["score"]) > 0:
-            ratio = result.score / float(baseline["score"])
-            versus = f"  ({ratio:.2f}x baseline)"
-        print(
-            f"{result.bench:24s} {result.seconds * 1000:9.1f} ms  "
-            f"score {result.score:8.3f}{versus}"
-        )
-    if results:
-        print(f"calibration: {results[0].calibration_s * 1000:.1f} ms")
-    regressions = find_regressions(
-        results, baselines, tolerance=args.tolerance
-    )
-    # A gated, regressed run is never recorded: appending it would make
-    # the regression its own baseline and wave the next one through.
-    if not args.no_record and not (args.gate and regressions):
-        append_history(args.history, results)
-    if args.gate:
-        if regressions:
-            for regression in regressions:
-                print(f"REGRESSION {regression.describe()}", file=sys.stderr)
-            return 1
-        print(
-            f"gate ok: {len(results)} benchmarks within "
-            f"{1.0 + args.tolerance:.2f}x of baseline"
-        )
     return 0
 
 
@@ -876,44 +823,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_engine_arguments(verify)
     verify.set_defaults(handler=_command_verify)
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="run the benchmark suite, append to BENCH_HISTORY.jsonl, and "
-        "optionally gate on regressions against the latest baseline",
-    )
-    bench.add_argument(
-        "ids", nargs="*", help="benchmark ids (default: all; see --list)"
-    )
-    bench.add_argument("--list", action="store_true", help="list ids and exit")
-    bench.add_argument(
-        "--history", metavar="FILE", default="BENCH_HISTORY.jsonl",
-        help="benchmark trajectory file (default: BENCH_HISTORY.jsonl)",
-    )
-    bench.add_argument(
-        "--rounds", type=int, default=3, metavar="N",
-        help="timing repetitions per benchmark; the best is recorded",
-    )
-    bench.add_argument(
-        "--gate", action="store_true",
-        help="exit 1 if any benchmark regressed beyond --tolerance "
-        "(regressed runs are not recorded)",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=0.5, metavar="T",
-        help="allowed relative slowdown of the normalized score before "
-        "the gate fails (default 0.5 = 1.5x)",
-    )
-    bench.add_argument(
-        "--slowdown", action="append", metavar="ID=FACTOR",
-        help="multiply the measured time of benchmark ID by FACTOR "
-        "(synthetic injection for testing the gate; repeatable)",
-    )
-    bench.add_argument(
-        "--no-record", action="store_true",
-        help="measure and compare without appending to the history",
-    )
-    bench.set_defaults(handler=_command_bench)
 
     simulate = subparsers.add_parser(
         "simulate", help="Monte-Carlo cross-check of the analytic result"

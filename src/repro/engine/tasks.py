@@ -17,17 +17,9 @@ from repro.nversion.conventions import OutputConvention
 from repro.obs.tracer import span
 from repro.nversion.reliability import ReliabilityFunction
 from repro.perception.evaluation import default_reliability_function, evaluate
-from repro.perception.no_rejuvenation import build_no_rejuvenation_net
 from repro.perception.parameters import PerceptionParameters
-from repro.perception.rejuvenation import build_rejuvenation_net
+from repro.perception.rejuvenation import build_net
 from repro.perception.statemap import module_counts
-
-
-def _build_net(parameters: PerceptionParameters, options: dict | None = None):
-    options = dict(options or {})
-    if parameters.rejuvenation:
-        return build_rejuvenation_net(parameters, **options)
-    return build_no_rejuvenation_net(parameters, **options)
 
 
 def _cached_reward(
@@ -75,7 +67,7 @@ def expected_reliability(
         rejuvenation=parameters.rejuvenation,
     ) as sp:
         key, hit = _cached_reward(
-            _build_net(parameters), resolved, max_states=max_states
+            build_net(parameters), resolved, max_states=max_states
         )
         if hit is not None:
             # a measure, not an attr: per-process cache state differs
@@ -105,7 +97,7 @@ def variant_reliability(
     of ``parameters``.  Used by the ablation experiments, whose whole
     point is deviating from the calibrated defaults.
     """
-    net = _build_net(parameters, build_options)
+    net = build_net(parameters, **(build_options or {}))
     key, hit = _cached_reward(net, reliability)
     if hit is not None:
         return hit

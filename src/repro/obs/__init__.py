@@ -1,7 +1,8 @@
 """Observability: tracing, metrics, and provenance for the pipeline.
 
-``repro.obs`` is the layer every performance claim in this repository is
-measured with.  It provides
+``repro.obs`` makes the pipeline inspectable without changing what it
+computes; workloads are timed by the repository benchmark,
+``perfbench/run.py``, not here.  It provides
 
 * a context-local **span tracer** (:func:`span`, :func:`tracing`)
   threaded through state-space generation, the CTMC/MRGP solvers, the
@@ -20,9 +21,6 @@ measured with.  It provides
 * **exporters** (:mod:`repro.obs.export`) to Chrome trace-event JSON
   (Perfetto-loadable, worker lanes as separate pids) and OpenMetrics
   exposition text;
-* a **benchmark trajectory** (:mod:`repro.obs.regress`): a manifest-
-  stamped runner appending to ``BENCH_HISTORY.jsonl`` and a regression
-  gate comparing machine-normalized scores against the latest baseline;
 * an **alerting layer** (:mod:`repro.obs.watch`): streaming detectors
   (sequential e-value reliability drift, multi-window SLO burn rate,
   monitor-consistency) folded over the event firehose into a

@@ -3,9 +3,9 @@
 A :class:`RunManifest` pins the code (git sha), the environment (python,
 numpy, platform), the workload (experiment id, parameters, seed, jobs),
 and the execution policy (solver-cache settings, clock kind) of a run.
-``repro trace`` attaches one to every trace and the benchmark harness
-embeds one in its ``BENCH_*.json`` artifacts, so a number can always be
-traced back to the configuration that produced it.
+``repro trace`` attaches one to every trace and the overhead-budget
+scripts under ``benchmarks/`` print one with their measurement, so a
+number can always be traced back to the configuration that produced it.
 
 Everything in the manifest is either stable for a given checkout or an
 explicit input — no wall-clock timestamps — so manifests (and the JSON

@@ -8,6 +8,8 @@ This package ties together the substrates:
   the DSPN of Fig. 2(a);
 * :func:`~repro.perception.rejuvenation.build_rejuvenation_net` — the
   DSPNs of Fig. 2(b)+(c), including the Table I guards and weights;
+* :func:`~repro.perception.rejuvenation.build_net` — whichever of the
+  two a configuration's ``rejuvenation`` flag selects;
 * :func:`~repro.perception.fleet.build_fleet_net` — the fleet-scale
   perception × rejuvenation-clock × maintenance product net (large-N
   workloads for the sparse solver route);
@@ -38,7 +40,7 @@ from repro.perception.metrics import (
 from repro.perception.fleet import FleetParameters, build_fleet_net
 from repro.perception.no_rejuvenation import build_no_rejuvenation_net
 from repro.perception.parameters import PerceptionParameters
-from repro.perception.rejuvenation import build_rejuvenation_net
+from repro.perception.rejuvenation import build_net, build_rejuvenation_net
 from repro.perception.statemap import ModuleCounts, module_counts
 
 __all__ = [
@@ -48,6 +50,7 @@ __all__ = [
     "PerceptionParameters",
     "PerceptionSystem",
     "build_fleet_net",
+    "build_net",
     "build_no_rejuvenation_net",
     "build_rejuvenation_net",
     "evaluate",

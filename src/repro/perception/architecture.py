@@ -23,9 +23,8 @@ from repro.perception.evaluation import (
     default_reliability_function,
     evaluate,
 )
-from repro.perception.no_rejuvenation import build_no_rejuvenation_net
 from repro.perception.parameters import PerceptionParameters
-from repro.perception.rejuvenation import build_rejuvenation_net
+from repro.perception.rejuvenation import build_net
 from repro.perception.statemap import module_counts
 from repro.petri.dot import to_dot
 from repro.petri.marking import Marking
@@ -65,11 +64,7 @@ class PerceptionSystem:
     def net(self) -> PetriNet:
         """The underlying DSPN (built lazily, cached)."""
         if self._net is None:
-            self._net = (
-                build_rejuvenation_net(self.parameters)
-                if self.parameters.rejuvenation
-                else build_no_rejuvenation_net(self.parameters)
-            )
+            self._net = build_net(self.parameters)
         return self._net
 
     # ------------------------------------------------------------------

@@ -26,9 +26,8 @@ from repro.nversion.reliability import (
     ReliabilityFunction,
 )
 from repro.obs import span
-from repro.perception.no_rejuvenation import build_no_rejuvenation_net
 from repro.perception.parameters import PerceptionParameters
-from repro.perception.rejuvenation import build_rejuvenation_net
+from repro.perception.rejuvenation import build_net
 from repro.perception.statemap import ModuleCounts, module_counts
 
 
@@ -128,12 +127,7 @@ def evaluate(
     if reliability is None:
         reliability = default_reliability_function(parameters, convention=convention)
 
-    net = (
-        build_rejuvenation_net(parameters)
-        if parameters.rejuvenation
-        else build_no_rejuvenation_net(parameters)
-    )
-    solution = solve_steady_state(net, max_states=max_states)
+    solution = solve_steady_state(build_net(parameters), max_states=max_states)
 
     state_probabilities: dict[ModuleCounts, float] = {}
     state_reliability: dict[ModuleCounts, float] = {}

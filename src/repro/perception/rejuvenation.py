@@ -35,6 +35,7 @@ from repro.perception.no_rejuvenation import (
     PLACE_FAILED,
     PLACE_HEALTHY,
     PLACE_REJUVENATING,
+    build_no_rejuvenation_net,
 )
 from repro.perception.parameters import PerceptionParameters
 from repro.petri import NetBuilder, PetriNet, ServerSemantics, count
@@ -230,3 +231,14 @@ def build_rejuvenation_net(
         outputs={PLACE_HEALTHY: batch_size},
     )
     return builder.build()
+
+
+def build_net(parameters: PerceptionParameters, **options) -> PetriNet:
+    """The Fig. 2 net for ``parameters``: (b)+(c) if it rejuvenates, else (a).
+
+    ``options`` pass through to the chosen builder: ``server`` for both,
+    plus ``selection``, ``clock`` and ``lost_ticks`` for rejuvenating nets.
+    """
+    if parameters.rejuvenation:
+        return build_rejuvenation_net(parameters, **options)
+    return build_no_rejuvenation_net(parameters, **options)

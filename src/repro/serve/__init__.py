@@ -14,7 +14,7 @@
 * :mod:`repro.serve.client` — the minimal asyncio client the tests and
   load harness drive the service with;
 * :mod:`repro.serve.loadgen` — open/closed-loop load generation with
-  latency histograms (``benchmarks/loadgen.py`` is its CLI).
+  latency histograms (``python -m repro.serve.loadgen`` is its CLI).
 
 See ``docs/SERVING.md`` for the endpoint reference and a walkthrough.
 """
@@ -22,7 +22,6 @@ See ``docs/SERVING.md`` for the endpoint reference and a walkthrough.
 from repro.serve.app import BackPressure, ReliabilityService, ServeConfig
 from repro.serve.coalesce import Coalescer
 from repro.serve.jobs import Job, JobStore
-from repro.serve.loadgen import LoadResult, coalesce_proof, run_load
 from repro.serve.ratelimit import RateLimiter, TokenBucket
 from repro.serve.worker import (
     SpecError,
@@ -36,15 +35,12 @@ __all__ = [
     "Coalescer",
     "Job",
     "JobStore",
-    "LoadResult",
     "RateLimiter",
     "ReliabilityService",
     "ServeConfig",
     "SpecError",
     "TokenBucket",
-    "coalesce_proof",
     "fingerprint_spec",
     "resolve_spec",
     "result_digest",
-    "run_load",
 ]

@@ -700,7 +700,7 @@ class ReliabilityService:
         )
         identity = self._identities.get(canonical)
         if identity is None:
-            fingerprint, cache_key = fingerprint_spec(spec)
+            fingerprint, cache_key = fingerprint_spec(spec, kind)
             identity = self._identities[canonical] = (
                 fingerprint,
                 f"{kind}:{cache_key}",

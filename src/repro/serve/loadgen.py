@@ -1,7 +1,7 @@
 """Load generation against a running reliability service.
 
-The harness behind ``benchmarks/loadgen.py``, the ``serve-cachehit-2k``
-benchmark, and the CI serve smoke.  Two drive modes:
+The harness behind ``python -m repro.serve.loadgen`` and the CI serve
+smoke.  Two drive modes:
 
 * **closed loop** — ``concurrency`` workers over persistent keep-alive
   connections, each firing its next request the moment the previous
@@ -250,7 +250,7 @@ async def coalesce_proof(
 
 
 # ----------------------------------------------------------------------
-# CLI (``benchmarks/loadgen.py`` is a thin shim over this)
+# CLI (``python -m repro.serve.loadgen``)
 # ----------------------------------------------------------------------
 _SOLVES_LINE_PATTERN = (
     r"^repro_serve_solve_executed_total ([0-9.eE+-]+)$"
@@ -354,7 +354,7 @@ async def main_async(args: Any) -> int:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    """The ``benchmarks/loadgen.py`` entry point (argparse + asyncio)."""
+    """The ``python -m repro.serve.loadgen`` entry point (argparse + asyncio)."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -397,3 +397,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     args = parser.parse_args(argv)
     return asyncio.run(main_async(args))
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -28,6 +28,7 @@ from typing import Any
 from repro.engine.cache import configure_cache
 from repro.errors import ReproError
 from repro.perception.parameters import PerceptionParameters
+from repro.perception.rejuvenation import build_net
 
 #: Spec keys that override individual Table II parameters.
 _PARAMETER_KEYS = {
@@ -56,7 +57,7 @@ class SpecError(ReproError):
 
 
 def resolve_spec(
-    spec: dict[str, Any],
+    spec: dict[str, Any], kind: str | None = None
 ) -> tuple[PerceptionParameters, int, str]:
     """``(parameters, max_states, method)`` for one request spec.
 
@@ -64,13 +65,20 @@ def resolve_spec(
     (+ ``f``/``r``/``rejuvenation``) selects the shape, the Table II
     keys override rates, and ``max_states``/``method`` tune the solve.
     Unknown keys are rejected — a typoed parameter must not silently
-    evaluate the defaults.
+    evaluate the defaults.  So is ``method`` for ``kind="solve"``: E[R]
+    always runs the engine's ``"auto"`` route, so a requested route
+    would change nothing but the cache key (``/v1/verify`` honours it).
     """
     if not isinstance(spec, dict):
         raise SpecError(f"spec must be a JSON object, got {type(spec).__name__}")
     unknown = sorted(set(spec) - _SHAPE_KEYS - set(_PARAMETER_KEYS) - _SOLVE_KEYS)
     if unknown:
         raise SpecError(f"unknown spec key {unknown[0]!r}")
+    if kind == "solve" and "method" in spec:
+        raise SpecError(
+            "'method' is a verify setting; solve always evaluates E[R] "
+            "by the 'auto' route"
+        )
 
     overrides = {}
     for key, attribute in _PARAMETER_KEYS.items():
@@ -114,17 +122,9 @@ def resolve_spec(
     return parameters, max_states, method
 
 
-def build_net(parameters: PerceptionParameters):
-    """The Fig. 2 net for ``parameters`` (builder chosen by shape)."""
-    from repro.perception.no_rejuvenation import build_no_rejuvenation_net
-    from repro.perception.rejuvenation import build_rejuvenation_net
-
-    if parameters.rejuvenation:
-        return build_rejuvenation_net(parameters)
-    return build_no_rejuvenation_net(parameters)
-
-
-def fingerprint_spec(spec: dict[str, Any]) -> tuple[str, str]:
+def fingerprint_spec(
+    spec: dict[str, Any], kind: str | None = None
+) -> tuple[str, str]:
     """``(fingerprint, cache_key)`` — the canonical identity of a spec.
 
     The fingerprint is the engine's content-addressed net fingerprint,
@@ -135,10 +135,11 @@ def fingerprint_spec(spec: dict[str, Any]) -> tuple[str, str]:
     (``p``/``p_prime``/``alpha``): those enter Eq. 1 through the reward
     function without touching the net's structure or rates, so the net
     fingerprint alone would conflate specs with different E[R].
+    ``kind`` is the endpoint, as for :func:`resolve_spec`.
     """
     from repro.engine.hashing import net_fingerprint, solver_cache_key
 
-    parameters, max_states, method = resolve_spec(spec)
+    parameters, max_states, method = resolve_spec(spec, kind)
     net = build_net(parameters)
     reward = hashlib.sha256(
         json.dumps(
@@ -221,7 +222,7 @@ def solve_worker(spec: dict[str, Any]) -> dict[str, Any]:
     from repro.engine.hashing import net_fingerprint, solver_cache_key
     from repro.engine.tasks import expected_reliability
 
-    parameters, max_states, method = resolve_spec(spec)
+    parameters, max_states, method = resolve_spec(spec, "solve")
     net = build_net(parameters)
     value = expected_reliability(parameters, max_states=max_states)
     return {
@@ -241,7 +242,7 @@ def verify_worker(spec: dict[str, Any]) -> dict[str, Any]:
     from repro.engine.hashing import net_fingerprint, solver_cache_key
     from repro.verify import lint_net
 
-    parameters, max_states, method = resolve_spec(spec)
+    parameters, max_states, method = resolve_spec(spec, "verify")
     net = build_net(parameters)
     report = lint_net(net, max_states=max_states)
     solution = solve_steady_state(

@@ -643,3 +643,20 @@ def simulate_batch(config: BatchConfig, *, jobs: int = 1) -> BatchReport:
         wall_seconds=wall,
     )
     return report
+
+
+def sim_batch_config() -> BatchConfig:
+    """The 1M-request firehose the batch runtime is held to.
+
+    4096 six-version groups x 256 rounds = 1,048,576 voted requests: the
+    run behind the >= 1e6 requests/s floor test and the watch-overhead
+    budget script (``benchmarks/bench_watch_overhead.py``).
+    """
+    return BatchConfig(
+        parameters=PerceptionParameters.six_version_defaults(),
+        groups=4096,
+        rounds=256,
+        request_period=1.0,
+        seed=7,
+        chunk_size=4096,
+    )

@@ -58,13 +58,9 @@ class VerifyTarget:
 
     def build(self) -> "PetriNet":
         """Construct the target's net (fresh each call)."""
-        from repro.perception.no_rejuvenation import build_no_rejuvenation_net
-        from repro.perception.rejuvenation import build_rejuvenation_net
+        from repro.perception.rejuvenation import build_net
 
-        options = dict(self.build_options)
-        if self.parameters.rejuvenation:
-            return build_rejuvenation_net(self.parameters, **options)
-        return build_no_rejuvenation_net(self.parameters, **options)
+        return build_net(self.parameters, **dict(self.build_options))
 
     def reliability(self):
         """The reliability function for this target's Eq. 1 checks."""

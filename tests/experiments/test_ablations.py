@@ -7,6 +7,8 @@ from repro.dspn import solve_steady_state
 from repro.errors import ParameterError
 from repro.experiments.ablations import (
     run_ablation_clock,
+    run_ablation_selection,
+    run_ablation_server,
     run_ablation_threshold,
     run_ablation_ticks,
 )
@@ -51,6 +53,17 @@ class TestBuilderKnobs:
 
 
 class TestAblationOrderings:
+    def test_selection_ablation_ordering(self):
+        report = run_ablation_selection()
+        values = {row[0]: row[2] for row in report.rows}
+        assert values["oracle"] > values["uniform"] > values["anti-oracle"]
+
+    def test_server_ablation_single_is_the_headline(self):
+        # single-server is the calibrated semantics: 4v headline ~0.8223
+        report = run_ablation_server()
+        values = {row[0]: row[1] for row in report.rows}
+        assert abs(values["single"] - 0.8223487) < 1e-4
+
     def test_clock_ablation_ordering(self):
         report = run_ablation_clock()
         values = {row[0]: row[2] for row in report.rows}

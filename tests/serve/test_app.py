@@ -101,6 +101,32 @@ class TestBasicEndpoints:
 
         asyncio.run(go())
 
+    def test_method_is_rejected_by_solve_and_honoured_by_verify(self):
+        # E[R] always runs the "auto" route: a solve spec naming a route
+        # is refused rather than cached under a route that never ran.
+        async def go():
+            async with running_service(fast_config()) as (_, host, port):
+                solve = await request(
+                    host, port, "POST", "/v1/solve",
+                    payload={"preset": "six", "method": "ctmc"},
+                )
+                assert solve.status == 400
+                assert "method" in solve.json()["error"]
+                sweep = await request(
+                    host, port, "POST", "/v1/sweep",
+                    payload={"preset": "six", "method": "ctmc",
+                             "parameter": "mttc", "values": [500]},
+                )
+                assert sweep.status == 400
+                verify = await request(
+                    host, port, "POST", "/v1/verify",
+                    payload={"preset": "four", "method": "ctmc"},
+                )
+                assert verify.status == 200
+                assert verify.json()["result"]["certificate"]["method"] == "ctmc"
+
+        asyncio.run(go())
+
     def test_routing_errors(self):
         async def go():
             async with running_service(fast_config()) as (_, host, port):

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import asyncio
-from pathlib import Path
 
 import pytest
 
-from repro.serve import ServeConfig, coalesce_proof, run_load
+from repro.serve import ServeConfig
+from repro.serve.loadgen import coalesce_proof, run_load
 from tests.serve.conftest import running_service
 
 
@@ -111,44 +111,3 @@ class TestCoalesceProof:
                 assert after - before == 1
 
         asyncio.run(go())
-
-
-class TestBenchmarksShim:
-    """``benchmarks/loadgen.py`` is deprecated but must stay faithful."""
-
-    SHIM = Path(__file__).resolve().parents[2] / "benchmarks" / "loadgen.py"
-
-    def _load_shim(self):
-        import importlib.util
-        import uuid
-
-        spec = importlib.util.spec_from_file_location(
-            f"loadgen_shim_{uuid.uuid4().hex}", self.SHIM
-        )
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
-
-    def test_shim_warns_deprecation_pointing_at_the_package(self):
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            self._load_shim()
-        deprecations = [
-            warning
-            for warning in caught
-            if issubclass(warning.category, DeprecationWarning)
-        ]
-        assert deprecations, "shim import must emit DeprecationWarning"
-        assert "repro.serve.loadgen" in str(deprecations[0].message)
-
-    def test_shim_main_is_the_packaged_main(self):
-        import warnings
-
-        from repro.serve import loadgen
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            module = self._load_shim()
-        assert module.main is loadgen.main

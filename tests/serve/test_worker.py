@@ -151,3 +151,16 @@ class TestWorkers:
         assert result["certificate"]["max_residual"] <= (
             result["certificate"]["tolerance"]
         )
+
+    def test_solve_worker_rejects_method(self):
+        # E[R] runs the "auto" route whatever the spec says, so a route
+        # request would only mint a cache key for a route that never ran.
+        with pytest.raises(SpecError, match="method"):
+            solve_worker({"preset": "six", "method": "ctmc"})
+        with pytest.raises(SpecError, match="method"):
+            fingerprint_spec({"preset": "six", "method": "auto"}, "solve")
+        _, solve_key = fingerprint_spec({"preset": "six"}, "solve")
+        _, verify_key = fingerprint_spec(
+            {"preset": "six", "method": "auto"}, "verify"
+        )
+        assert solve_key == verify_key
