@@ -12,9 +12,14 @@ layer to that contract by timing the solver pipeline twice —
   approximating an uninstrumented build;
 
 — and asserting the disabled path stays within ``BUDGET_PCT`` of the
-stubbed baseline (best-of-``ROUNDS``, rounds interleaved so drift hits
-both sides equally).  A microbenchmark of the bare no-op ``span()``
-call is recorded alongside for context.
+stubbed baseline.  Each of ``ROUNDS`` rounds repeats the pipeline pass
+until each mode has run for at least ``ROUND_SECONDS``, alternating
+the modes pass by pass so drift and host noise hit both sides
+equally; the verdict is the median of the per-round disabled/stubbed
+ratios.  BLAS and OpenMP run single-threaded (set
+below, before numpy loads), so thread scheduling on a small host does
+not swamp the difference being measured.  A microbenchmark of the bare
+no-op ``span()`` call is recorded alongside for context.
 
 Prints the measurement as JSON on stdout and exits non-zero over
 budget::
@@ -24,19 +29,30 @@ budget::
 
 from __future__ import annotations
 
-import contextlib
-import importlib
-import json
+import os
 
-from repro.dspn import solve_steady_state
-from repro.engine import cache_override
-from repro.obs import NULL_SPAN, collect_manifest, now, span
-from repro.perception.no_rejuvenation import build_no_rejuvenation_net
-from repro.perception.parameters import PerceptionParameters
-from repro.perception.rejuvenation import build_rejuvenation_net
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_variable] = "1"
 
-#: Repetitions per mode; best (minimum) time per mode is compared.
-ROUNDS = 5
+import contextlib  # noqa: E402 - the thread pins must precede numpy
+import importlib  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+import statistics  # noqa: E402
+
+from repro.dspn import solve_steady_state  # noqa: E402
+from repro.engine import cache_override  # noqa: E402
+from repro.obs import NULL_SPAN, collect_manifest, now, span  # noqa: E402
+from repro.perception.no_rejuvenation import build_no_rejuvenation_net  # noqa: E402
+from repro.perception.parameters import PerceptionParameters  # noqa: E402
+from repro.perception.rejuvenation import build_rejuvenation_net  # noqa: E402
+
+#: Paired rounds; the median per-round disabled/stubbed ratio is judged.
+ROUNDS = 7
+
+#: Minimum length of one mode's timing in a round; the pipeline pass is
+#: repeated until it is reached.
+ROUND_SECONDS = 1.0
 
 #: Maximum tolerated slowdown of disabled-tracing over the stubbed
 #: baseline, in percent.
@@ -44,6 +60,7 @@ BUDGET_PCT = 5.0
 
 #: Every module that imports observability hooks at module level.
 INSTRUMENTED_MODULES = (
+    "repro.statespace",
     "repro.statespace.reachability",
     "repro.statespace.vanishing",
     "repro.dspn.ctmc_builder",
@@ -130,8 +147,16 @@ def _noop_span_cost(samples: int = 200_000) -> float:
     return (now() - start) / samples
 
 
+def _timed_pass(stubbed: bool, ctmc_net, mrgp_net) -> float:
+    """Seconds of one pipeline pass, with the hooks stubbed or not."""
+    with stubbed_instrumentation() if stubbed else contextlib.nullcontext():
+        start = now()
+        _workload(ctmc_net, mrgp_net)
+        return now() - start
+
+
 def measure() -> dict:
-    """Best-of-ROUNDS disabled vs stubbed; assert data, not verdicts."""
+    """Median paired disabled/stubbed ratio; assert data, not verdicts."""
     ctmc_net = build_no_rejuvenation_net(
         PerceptionParameters(n_modules=8, f=1, rejuvenation=False)
     )
@@ -139,34 +164,39 @@ def measure() -> dict:
         PerceptionParameters(n_modules=9, f=1, r=1, rejuvenation=True)
     )
 
-    # Warm both paths (imports, numpy caches) before timing anything.
-    _workload(ctmc_net, mrgp_net)
-    with stubbed_instrumentation():
-        _workload(ctmc_net, mrgp_net)
+    # Warm both paths (imports, numpy caches) before timing anything,
+    # and size a round from the warm pass.
+    _timed_pass(True, ctmc_net, mrgp_net)
+    warm = _timed_pass(False, ctmc_net, mrgp_net)
+    passes = max(1, math.ceil(ROUND_SECONDS / warm))
 
+    # Within a round the modes alternate pass by pass (order flipping
+    # each time), so a burst of host noise lands on both sides.
     disabled: list[float] = []
     stubbed: list[float] = []
     for _ in range(ROUNDS):
-        start = now()
-        _workload(ctmc_net, mrgp_net)
-        disabled.append(now() - start)
+        totals = {False: 0.0, True: 0.0}
+        for index in range(passes):
+            for mode in (False, True) if index % 2 == 0 else (True, False):
+                totals[mode] += _timed_pass(mode, ctmc_net, mrgp_net)
+        disabled.append(totals[False])
+        stubbed.append(totals[True])
 
-        with stubbed_instrumentation():
-            start = now()
-            _workload(ctmc_net, mrgp_net)
-            stubbed.append(now() - start)
-
-    disabled_s = min(disabled)
-    stubbed_s = min(stubbed)
-    overhead_pct = (disabled_s / stubbed_s - 1.0) * 100.0
+    ratios = [d / s for d, s in zip(disabled, stubbed)]
+    overhead_pct = (statistics.median(ratios) - 1.0) * 100.0
 
     return {
         "manifest": collect_manifest(
             experiment="bench_obs_overhead",
-            parameters={"rounds": ROUNDS, "budget_pct": BUDGET_PCT},
+            parameters={
+                "rounds": ROUNDS,
+                "passes_per_round": passes,
+                "budget_pct": BUDGET_PCT,
+            },
         ).as_dict(),
-        "disabled_s": disabled_s,
-        "stubbed_baseline_s": stubbed_s,
+        "disabled_s": disabled,
+        "stubbed_baseline_s": stubbed,
+        "round_overhead_pct": [(ratio - 1.0) * 100.0 for ratio in ratios],
         "overhead_pct": overhead_pct,
         "budget_pct": BUDGET_PCT,
         "noop_span_ns": _noop_span_cost() * 1e9,

@@ -11,6 +11,9 @@ memory proportional to the edge count.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -39,26 +42,33 @@ def sparse_generator(graph: TangibleGraph) -> sp.csr_array:
         )
     with span("dspn.sparse_builder", states=graph.n_states):
         n = graph.n_states
-        rows: list[int] = []
-        cols: list[int] = []
-        rates: list[float] = []
+        # Flatten edges and their target distributions with C-level
+        # iteration, one triplet per (edge, target) in edge order.
+        edges = list(chain.from_iterable(graph.exponential_edges))
+        targets = list(map(attrgetter("targets"), edges))
+        per_state = np.fromiter(map(len, graph.exponential_edges), np.int64, count=n)
+        fan_out = np.fromiter(map(len, targets), np.int64, count=len(edges))
+        rates = np.fromiter(map(attrgetter("rate"), edges), float, count=len(edges))
+        pairs = np.fromiter(
+            chain.from_iterable(chain.from_iterable(targets)), float
+        ).reshape(-1, 2)
+        rows = np.repeat(np.repeat(np.arange(n, dtype=np.int64), per_state), fan_out)
+        cols = pairs[:, 0].astype(np.int64)
+        flows = np.repeat(rates, fan_out) * pairs[:, 1]
+        keep = rows != cols  # invisible self-loops do not affect the CTMC
+        rows, cols, flows = rows[keep], cols[keep], flows[keep]
+        # unbuffered, in triplet order: the same float sums as ``-=`` per edge
         diagonal = np.zeros(n)
-        for source in range(n):
-            for edge in graph.exponential_edges[source]:
-                for target, probability in edge.targets:
-                    if target == source:
-                        continue  # invisible self-loops do not affect the CTMC
-                    flow = edge.rate * probability
-                    rows.append(source)
-                    cols.append(target)
-                    rates.append(flow)
-                    diagonal[source] -= flow
+        np.subtract.at(diagonal, rows, flows)
         nonzero_diagonal = np.flatnonzero(diagonal)
-        rows.extend(nonzero_diagonal.tolist())
-        cols.extend(nonzero_diagonal.tolist())
-        rates.extend(diagonal[nonzero_diagonal].tolist())
         matrix = sp.coo_array(
-            (np.asarray(rates), (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
+            (
+                np.concatenate([flows, diagonal[nonzero_diagonal]]),
+                (
+                    np.concatenate([rows, nonzero_diagonal]),
+                    np.concatenate([cols, nonzero_diagonal]),
+                ),
+            ),
             shape=(n, n),
         )
         return sp.csr_array(matrix)

@@ -177,6 +177,12 @@ def solve_steady_state(
     not by key separation (see docs/SOLVERS.md).  Cached results are
     shared objects: treat them as immutable.
 
+    ``use_cache=False`` skips that result tier only.  The tangible
+    graph still comes from the cache's structure tier (re-rated instead
+    of re-explored when the net's structure was seen before); only the
+    global switch (``--no-cache``, ``configure_cache(enabled=False)``)
+    turns that off.
+
     ``verify`` requests a post-hoc numerical certificate of the returned
     distribution (see :mod:`repro.verify.certify`): ``True`` certifies
     at the default ``1e-9`` residual tolerance, a positive float sets a
@@ -214,9 +220,13 @@ def solve_steady_state(
 
     # Lazy import: the engine package imports SteadyStateResult from here.
     from repro.engine.cache import active_cache
-    from repro.engine.hashing import net_fingerprint, solver_cache_key
+    from repro.engine.hashing import (
+        digest_scope,
+        net_fingerprint,
+        solver_cache_key,
+    )
 
-    with span("dspn.solve", net=net.name, requested=method) as sp:
+    with digest_scope(), span("dspn.solve", net=net.name, requested=method) as sp:
         fingerprint = net_fingerprint(net) if tolerance is not None else None
 
         cache = active_cache() if use_cache in (None, True) else None

@@ -1,10 +1,19 @@
-"""Memoization of steady-state solutions.
+"""Memoization of steady-state solutions and of net structures.
 
-Two storage tiers, both keyed by :func:`repro.engine.hashing.solver_cache_key`:
+Results live in two storage tiers, both keyed by
+:func:`repro.engine.hashing.solver_cache_key` (or ``reward_cache_key``):
 
 * an in-memory LRU (always available, per process), and
 * an optional content-verified on-disk store (shared across processes
   and runs) under ``~/.cache/repro`` or ``$REPRO_CACHE_DIR``.
+
+Beside them sits the *structure tier*: a small in-memory LRU of
+:class:`~repro.statespace.graph.GraphStructure` entries keyed by
+:func:`repro.engine.hashing.structure_cache_key`, which
+:func:`repro.statespace.tangible_reachability` re-rates instead of
+re-exploring.  It is never written to disk, and counts its own
+``engine.cache.structure.{hits,misses}`` — :meth:`SolverCache.stats`
+keeps describing the result tiers.
 
 Disk entries are a 64-hex-character SHA-256 digest line followed by the
 pickled payload.  The digest is recomputed on every load; a mismatch —
@@ -27,6 +36,7 @@ import logging
 import os
 import pickle
 import tempfile
+import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
@@ -36,6 +46,10 @@ from repro.obs import counter
 from repro.obs.events import emit as emit_event
 
 DEFAULT_MAXSIZE = 256
+
+#: Bound on the structure tier.  A sweep varies rates over a handful of
+#: (N, f, r) shapes, so a few dozen entries keep every live shape.
+STRUCTURE_MAXSIZE = 32
 
 _DIGEST_LENGTH = 64  # hex characters of SHA-256
 
@@ -70,6 +84,11 @@ class SolverCache:
         self.rejected = 0  # disk entries dropped: corrupt digest or payload
         self.evictions = 0  # in-memory entries displaced by the LRU bound
         self.collisions_prevented = 0  # concurrent publishes of one key
+        # serve's thread executor shares one cache between solving threads
+        self._structure_lock = threading.Lock()
+        self._structures: OrderedDict[str, Any] = OrderedDict()
+        self.structure_hits = 0
+        self.structure_misses = 0
 
     # -- in-memory tier -------------------------------------------------
     def __len__(self) -> int:
@@ -111,9 +130,33 @@ class SolverCache:
             self.evictions += 1
             counter("engine.cache.evictions").inc()
 
+    # -- structure tier -------------------------------------------------
+    def get_structure(self, key: str) -> Any | None:
+        """The graph structure stored under ``key``, or None."""
+        with self._structure_lock:
+            structure = self._structures.get(key)
+            if structure is None:
+                self.structure_misses += 1
+            else:
+                self._structures.move_to_end(key)
+                self.structure_hits += 1
+        outcome = "misses" if structure is None else "hits"
+        counter(f"engine.cache.structure.{outcome}").inc()
+        return structure
+
+    def put_structure(self, key: str, structure: Any) -> None:
+        """Remember ``structure`` in memory (least recently used goes first)."""
+        with self._structure_lock:
+            self._structures[key] = structure
+            self._structures.move_to_end(key)
+            while len(self._structures) > STRUCTURE_MAXSIZE:
+                self._structures.popitem(last=False)
+
     def clear(self, *, disk: bool = False) -> None:
-        """Drop the in-memory tier (and the disk tier with ``disk=True``)."""
+        """Drop the in-memory tiers (and the disk tier with ``disk=True``)."""
         self._entries.clear()
+        with self._structure_lock:
+            self._structures.clear()
         if disk and self.directory is not None and self.directory.exists():
             for path in self.directory.glob("*/*.pkl"):
                 path.unlink(missing_ok=True)

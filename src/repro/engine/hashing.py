@@ -31,6 +31,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from collections.abc import Iterable
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from repro.petri.arc import Arc
 from repro.petri.marking import Marking
@@ -100,6 +102,103 @@ def _arc_line(arc: Arc, markings: list[Marking]) -> str:
     return f"arc|{arc.transition}|{arc.kind.value}|{arc.place}|{multiplicity}"
 
 
+#: Per-evaluation memo of :func:`net_digests`, by net identity; ``None``
+#: outside :func:`digest_scope`.  A context variable, so threads that
+#: evaluate concurrently never share one.
+_SCOPE: ContextVar[dict | None] = ContextVar("repro_net_digests", default=None)
+
+
+@contextmanager
+def digest_scope():
+    """Probe each net object at most once inside the block.
+
+    One evaluation asks for a net's identity up to three times: the
+    reward key, the solver key or certificate, and the structure key
+    behind :func:`repro.statespace.tangible_reachability`.  Inside this
+    scope they share one probe pass.  The memo lives only as long as
+    the outermost scope, so a net changed between evaluations is
+    probed afresh.
+    """
+    if _SCOPE.get() is not None:
+        yield
+        return
+    token = _SCOPE.set({})
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def net_digests(net: PetriNet) -> tuple[str, str]:
+    """``(full, structure)`` SHA-256 digests of ``net`` from one probe pass.
+
+    The full digest is :func:`net_fingerprint`.  The structure digest
+    serializes the same net *minus* exponential rates and deterministic
+    delays — everything reachability and vanishing elimination depend
+    on (places, tokens, capacities, arcs and multiplicities, guards,
+    priorities, server semantics, immediate weights) — plus the place
+    and transition insertion order, which fixes marking layout and edge
+    order in an explored graph.
+    """
+    memo = _SCOPE.get()
+    if memo is not None:
+        found = memo.get(id(net))
+        if found is not None and found[0] is net:
+            return found[1]
+    digests = _serialize(net)
+    if memo is not None:
+        memo[id(net)] = (net, digests)
+    return digests
+
+
+def _serialize(net: PetriNet) -> tuple[str, str]:
+    """The probe pass behind :func:`net_digests`."""
+    markings = probe_markings(net)
+    shared = []
+    for name in sorted(net.places):
+        place = net.places[name]
+        shared.append(f"place|{name}|tokens={place.tokens}|capacity={place.capacity}")
+
+    full = [f"repro-net-fingerprint/v{FINGERPRINT_VERSION}", *shared]
+    structure = [
+        f"repro-net-structure/v{FINGERPRINT_VERSION}",
+        f"order|{','.join(net.places)}|{','.join(net.transitions)}",
+        *shared,
+    ]
+    for name in sorted(net.transitions):
+        transition = net.transitions[name]
+        guard = (
+            "none"
+            if transition.guard is None
+            else _probe(transition.guard_satisfied, markings)
+        )
+        head = f"transition|{name}|{transition.kind}|guard={guard}"
+        if isinstance(transition, ExponentialTransition):
+            server = f"server={transition.server.value}"
+            full.append(f"{head}|rate={_probe(transition.rate, markings)}|{server}")
+            structure.append(f"{head}|{server}")
+        elif isinstance(transition, ImmediateTransition):
+            line = (
+                f"{head}|weight={_probe(transition.weight, markings)}"
+                f"|priority={transition.priority}"
+            )
+            full.append(line)
+            structure.append(line)
+        elif isinstance(transition, DeterministicTransition):
+            full.append(f"{head}|delay={transition.delay!r}")
+            structure.append(head)
+        else:  # pragma: no cover - no other kinds exist today
+            full.append(f"{head}|kind-only")
+            structure.append(f"{head}|kind-only")
+
+    arcs = sorted(_arc_line(arc, markings) for arc in net.arcs)
+    return _sha256(full + arcs), _sha256(structure + arcs)
+
+
+def _sha256(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def net_fingerprint(net: PetriNet) -> str:
     """SHA-256 hex digest identifying ``net`` up to probe resolution.
 
@@ -108,39 +207,18 @@ def net_fingerprint(net: PetriNet) -> str:
     delay, guard behaviour, server semantics and arc multiplicity.
     The net's *name* is deliberately excluded — it is a display label.
     """
-    markings = probe_markings(net)
-    lines = [f"repro-net-fingerprint/v{FINGERPRINT_VERSION}"]
+    return net_digests(net)[0]
 
-    for name in sorted(net.places):
-        place = net.places[name]
-        lines.append(f"place|{name}|tokens={place.tokens}|capacity={place.capacity}")
 
-    for name in sorted(net.transitions):
-        transition = net.transitions[name]
-        guard = (
-            "none"
-            if transition.guard is None
-            else _probe(transition.guard_satisfied, markings)
-        )
-        if isinstance(transition, ExponentialTransition):
-            detail = (
-                f"rate={_probe(transition.rate, markings)}"
-                f"|server={transition.server.value}"
-            )
-        elif isinstance(transition, ImmediateTransition):
-            detail = (
-                f"weight={_probe(transition.weight, markings)}"
-                f"|priority={transition.priority}"
-            )
-        elif isinstance(transition, DeterministicTransition):
-            detail = f"delay={transition.delay!r}"
-        else:  # pragma: no cover - no other kinds exist today
-            detail = "kind-only"
-        lines.append(f"transition|{name}|{transition.kind}|guard={guard}|{detail}")
+def structure_cache_key(net: PetriNet, *, max_states: int) -> str:
+    """Key of ``net``'s tangible graph in the cache's structure tier.
 
-    lines.extend(sorted(_arc_line(arc, markings) for arc in net.arcs))
-
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    Nets that differ only in exponential rates or deterministic delays
+    share it (see :func:`net_digests`); ``max_states`` is included
+    because it decides whether exploration succeeds at all.
+    """
+    base = f"structure|{net_digests(net)[1]}|max_states={max_states}"
+    return hashlib.sha256(base.encode()).hexdigest()
 
 
 def solver_cache_key(net: PetriNet, *, max_states: int, method: str) -> str:

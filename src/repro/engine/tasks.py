@@ -12,7 +12,11 @@ from __future__ import annotations
 
 from repro.dspn import solve_steady_state
 from repro.engine.cache import active_cache
-from repro.engine.hashing import reliability_fingerprint, reward_cache_key
+from repro.engine.hashing import (
+    digest_scope,
+    reliability_fingerprint,
+    reward_cache_key,
+)
 from repro.nversion.conventions import OutputConvention
 from repro.obs.tracer import span
 from repro.nversion.reliability import ReliabilityFunction
@@ -61,14 +65,15 @@ def expected_reliability(
         if reliability is not None
         else default_reliability_function(parameters, convention=convention)
     )
-    with span(
+    with digest_scope(), span(
         "engine.expected_reliability",
         n_modules=parameters.n_modules,
         rejuvenation=parameters.rejuvenation,
     ) as sp:
-        key, hit = _cached_reward(
-            build_net(parameters), resolved, max_states=max_states
-        )
+        # one net and one probe pass serve the reward key, the solver
+        # key and the structure key
+        net = build_net(parameters)
+        key, hit = _cached_reward(net, resolved, max_states=max_states)
         if hit is not None:
             # a measure, not an attr: per-process cache state differs
             # between execution modes
@@ -79,6 +84,7 @@ def expected_reliability(
             parameters,
             reliability=resolved,
             max_states=max_states,
+            _net=net,
         ).expected_reliability
         _store_reward(key, value)
         return value
@@ -98,10 +104,11 @@ def variant_reliability(
     point is deviating from the calibrated defaults.
     """
     net = build_net(parameters, **(build_options or {}))
-    key, hit = _cached_reward(net, reliability)
-    if hit is not None:
-        return hit
-    solution = solve_steady_state(net)
+    with digest_scope():
+        key, hit = _cached_reward(net, reliability)
+        if hit is not None:
+            return hit
+        solution = solve_steady_state(net)
 
     memo: dict = {}
 

@@ -29,6 +29,7 @@ from repro.obs import span
 from repro.perception.parameters import PerceptionParameters
 from repro.perception.rejuvenation import build_net
 from repro.perception.statemap import ModuleCounts, module_counts
+from repro.petri.net import PetriNet
 
 
 def default_reliability_function(
@@ -108,6 +109,7 @@ def evaluate(
     reliability: ReliabilityFunction | None = None,
     convention: OutputConvention = OutputConvention.SAFE_SKIP,
     max_states: int = 200_000,
+    _net: PetriNet | None = None,
 ) -> EvaluationResult:
     """Compute E[R_sys] for ``parameters`` (Eq. 1).
 
@@ -123,11 +125,16 @@ def evaluate(
         function (ignored if ``reliability`` is given).
     max_states:
         Bound on the DSPN state space.
+
+    ``_net`` is private to the engine: ``build_net(parameters)`` when
+    the caller already built it (to key its reward tier), so one
+    evaluation builds and probes the net once.
     """
     if reliability is None:
         reliability = default_reliability_function(parameters, convention=convention)
 
-    solution = solve_steady_state(build_net(parameters), max_states=max_states)
+    net = build_net(parameters) if _net is None else _net
+    solution = solve_steady_state(net, max_states=max_states)
 
     state_probabilities: dict[ModuleCounts, float] = {}
     state_reliability: dict[ModuleCounts, float] = {}

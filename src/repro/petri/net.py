@@ -218,6 +218,11 @@ class PetriNet:
             raise ModelDefinitionError(
                 f"transition {transition.name!r} is not enabled in {marking.compact()}"
             )
+        return self._fire(transition, marking)
+
+    def _fire(self, transition: Transition, marking: Marking) -> Marking:
+        """:meth:`fire` without the enabling check, for callers that
+        already hold a positive enabling degree (state-space exploration)."""
         delta: dict[str, int] = {}
         for arc in self._inputs[transition.name]:
             delta[arc.place] = delta.get(arc.place, 0) - arc.multiplicity_in(marking)

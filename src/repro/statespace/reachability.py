@@ -59,7 +59,12 @@ def explore(net: PetriNet, *, max_states: int = 200_000) -> RawGraph:
 
 
 def _explore(net: PetriNet, *, max_states: int) -> RawGraph:
-    """The untraced exploration loop behind :func:`explore`."""
+    """The untraced exploration loop behind :func:`explore`.
+
+    Each enabling degree is computed once per (marking, transition) and
+    recorded on the edge; firing goes through the net's unchecked path
+    because the degree already proves the transition enabled.
+    """
     initial = net.initial_marking()
     markings: list[Marking] = [initial]
     index: dict[Marking, int] = {initial: 0}
@@ -68,21 +73,27 @@ def _explore(net: PetriNet, *, max_states: int) -> RawGraph:
 
     queue: deque[int] = deque([0])
     immediates = net.immediate_transitions()
+    timed = [t for t in net.transitions.values() if not isinstance(t, ImmediateTransition)]
+    enabling_degree = net.enabling_degree
+    fire = net._fire
 
     while queue:
         state = queue.popleft()
         marking = markings[state]
 
-        enabled_immediate = [
-            t for t in immediates if net.is_enabled(t, marking)
-        ]
+        enabled_immediate = []
+        for transition in immediates:
+            degree = enabling_degree(transition, marking)
+            if degree:
+                enabled_immediate.append((transition, degree))
         state_edges: list[RawEdge] = []
         if enabled_immediate:
-            top_priority = max(t.priority for t in enabled_immediate)
-            competing = [t for t in enabled_immediate if t.priority == top_priority]
+            top_priority = max(t.priority for t, _ in enabled_immediate)
             vanishing.append(True)
-            for transition in competing:
-                successor = net.fire(transition, marking)
+            for transition, degree in enabled_immediate:
+                if transition.priority != top_priority:
+                    continue
+                successor = fire(transition, marking)
                 target = _intern(successor, markings, index, queue, max_states)
                 state_edges.append(
                     RawEdge(
@@ -90,17 +101,16 @@ def _explore(net: PetriNet, *, max_states: int) -> RawGraph:
                         target=target,
                         kind="immediate",
                         value=transition.weight_in(marking),
+                        degree=degree,
                     )
                 )
         else:
             vanishing.append(False)
-            for transition in net.transitions.values():
-                if isinstance(transition, ImmediateTransition):
-                    continue
-                degree = net.enabling_degree(transition, marking)
+            for transition in timed:
+                degree = enabling_degree(transition, marking)
                 if degree == 0:
                     continue
-                successor = net.fire(transition, marking)
+                successor = fire(transition, marking)
                 target = _intern(successor, markings, index, queue, max_states)
                 if isinstance(transition, ExponentialTransition):
                     state_edges.append(
@@ -109,6 +119,7 @@ def _explore(net: PetriNet, *, max_states: int) -> RawGraph:
                             target=target,
                             kind="exponential",
                             value=transition.rate_in(marking, degree),
+                            degree=degree,
                         )
                     )
                 elif isinstance(transition, DeterministicTransition):
@@ -118,6 +129,7 @@ def _explore(net: PetriNet, *, max_states: int) -> RawGraph:
                             target=target,
                             kind="deterministic",
                             value=transition.delay,
+                            degree=degree,
                         )
                     )
                 else:  # pragma: no cover - future transition kinds

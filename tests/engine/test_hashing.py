@@ -157,3 +157,72 @@ class TestCacheKeys:
 
     def test_ad_hoc_callables_have_no_fingerprint(self):
         assert reliability_fingerprint(lambda i, j, k: 1.0) is None
+
+
+class TestOneProbePassPerEvaluation:
+    """A reward-tier miss builds its net once and probes it once: the
+    reward key, the solver key and the structure key share the pass."""
+
+    @pytest.mark.parametrize(
+        "parameters",
+        [
+            PerceptionParameters.four_version_defaults(),
+            PerceptionParameters.six_version_defaults(),
+        ],
+        ids=["four", "six"],
+    )
+    def test_reward_miss_builds_and_probes_once(self, parameters, monkeypatch):
+        import repro.engine.hashing as hashing
+        import repro.engine.tasks as tasks
+        import repro.perception.evaluation as evaluation
+        from repro.engine import cache_override
+
+        calls = {"probe": 0, "build": 0}
+        real_serialize, real_build = hashing._serialize, tasks.build_net
+
+        def probe(net):
+            calls["probe"] += 1
+            return real_serialize(net)
+
+        def build(parameters, **options):
+            calls["build"] += 1
+            return real_build(parameters, **options)
+
+        monkeypatch.setattr(hashing, "_serialize", probe)
+        monkeypatch.setattr(tasks, "build_net", build)
+        monkeypatch.setattr(evaluation, "build_net", build)
+        with cache_override(enabled=True, directory=None) as cache:
+            value = tasks.expected_reliability(parameters)
+            assert cache.stats()["misses"] == 2  # reward tier, then result tier
+            assert cache.structure_misses == 1
+        assert calls == {"probe": 1, "build": 1}
+        with cache_override(enabled=False):
+            assert tasks.expected_reliability(parameters) == value
+
+    def test_scope_ends_with_the_evaluation(self):
+        """Outside a scope every call probes afresh."""
+        import repro.engine.hashing as hashing
+
+        net = build_no_rejuvenation_net(PerceptionParameters.four_version_defaults())
+        with hashing.digest_scope():
+            first = hashing.net_digests(net)
+            assert hashing.net_digests(net) is first
+        assert hashing.net_digests(net) == first
+        assert hashing.net_digests(net) is not first
+
+    def test_structure_digest_ignores_rates_and_delays_only(self):
+        import repro.engine.hashing as hashing
+
+        six = PerceptionParameters.six_version_defaults()
+        base = hashing.net_digests(build_rejuvenation_net(six))
+        rerated = hashing.net_digests(
+            build_rejuvenation_net(
+                PerceptionParameters.six_version_defaults(
+                    mttc=700.0, rejuvenation_interval=300.0
+                )
+            )
+        )
+        assert rerated[0] != base[0]
+        assert rerated[1] == base[1]
+        lost = hashing.net_digests(build_rejuvenation_net(six, lost_ticks=True))
+        assert lost[1] != base[1]
